@@ -10,9 +10,10 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "agent/agent.hpp"
-#include "agent/consensus_group.hpp"
+#include "agent/consensus.hpp"
 #include "agent/policies.hpp"
 #include "apps/matmul.hpp"
 #include "apps/montecarlo.hpp"
@@ -71,7 +72,6 @@ CoRunOutcome co_run(Regime regime) {
   agent::RuntimeAdapter adc(mc_rt, chc, montecarlo.ai_estimate());
 
   std::unique_ptr<agent::Agent> coordinator;
-  std::unique_ptr<agent::ConsensusGroup> group;
   switch (regime) {
     case Regime::kOversubscribed:
       break;  // everyone keeps machine-wide pools
@@ -85,13 +85,24 @@ CoRunOutcome co_run(Regime regime) {
           machine, std::make_unique<agent::ModelGuidedPolicy>(),
           agent::AgentOptions{.period_us = 1000});
       break;
-    case Regime::kConsensus:
-      group = std::make_unique<agent::ConsensusGroup>(machine);
-      group->join_with_ai(stencil_rt, stencil.ai_estimate());
-      group->join_with_ai(matmul_rt, matmul.ai_estimate());
-      group->join_with_ai(mc_rt, montecarlo.ai_estimate());
-      group->apply();
+    case Regime::kConsensus: {
+      // Agentless: each runtime proposes from its own AI, and each applies
+      // its own row of the one deterministic arbitrate() result.
+      rt::Runtime* runtimes[] = {&stencil_rt, &matmul_rt, &mc_rt};
+      const double ais[] = {stencil.ai_estimate(), matmul.ai_estimate(),
+                            montecarlo.ai_estimate()};
+      std::vector<agent::Proposal> proposals;
+      for (std::uint32_t a = 0; a < 3; ++a) {
+        proposals.push_back(agent::ai_proposal(machine, a, ais[a]));
+      }
+      const auto agreed = agent::arbitrate(machine, proposals);
+      for (std::uint32_t a = 0; a < 3; ++a) {
+        std::vector<std::uint32_t> row(machine.node_count());
+        for (topo::NodeId n = 0; n < machine.node_count(); ++n) row[n] = agreed.threads(a, n);
+        runtimes[a]->set_node_thread_targets(row);
+      }
       break;
+    }
   }
   if (coordinator) {
     coordinator->add_app("stencil", chs);

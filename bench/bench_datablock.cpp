@@ -370,7 +370,7 @@ obs::HistogramSnapshot steal_round(const topo::Machine& machine, bool aware,
     runtime.spawn_with_data(
         [words](rt::TaskContext&) {
           std::uint64_t sum = 0;
-          for (std::size_t i = 0; i < kWords; ++i) sum += words[i];
+          for (std::size_t w = 0; w < kWords; ++w) sum += words[w];
           benchmark::DoNotOptimize(sum);
         },
         {rt::Runtime::DataAccess::read(block)});

@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
       const auto per_node = runtime.running_per_node();
       std::string split;
       for (std::size_t n = 0; n < per_node.size(); ++n) {
-        split += (n ? "+" : "") + std::to_string(per_node[n]);
+        if (n) split += '+';
+        split += std::to_string(per_node[n]);
       }
       std::printf("%s: running %u threads (%s per node)\n", name.c_str(),
                   runtime.running_threads(), split.c_str());

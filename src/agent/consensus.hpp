@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/units.hpp"
 #include "core/allocation.hpp"
 #include "topology/machine.hpp"
 
@@ -39,6 +40,13 @@ model::Allocation arbitrate(const topo::Machine& machine,
 /// cores_in_node / participants on every node.
 Proposal fair_proposal(const topo::Machine& machine, std::uint32_t app,
                        std::uint32_t participants);
+
+/// The self-interested proposal of an app that knows its arithmetic
+/// intensity: per node, enough threads that its aggregate demand meets the
+/// node's memory bandwidth, but no more (extra threads of a memory-bound
+/// code only split the same bytes). Compute-bound codes, whose demand stays
+/// below the bandwidth even on every core, ask for the whole node.
+Proposal ai_proposal(const topo::Machine& machine, std::uint32_t app, ArithmeticIntensity ai);
 
 /// A proposal keyed by a registry slot index instead of a dense app index —
 /// the form degraded-mode survivors exchange through the orphaned registry

@@ -9,8 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/fault.hpp"
 #include "common/format.hpp"
-#include "inject/fault.hpp"
 
 namespace numashare::agent {
 
@@ -103,86 +103,83 @@ ShmChannel::~ShmChannel() {
   }
 }
 
-bool ShmChannel::push_command(const Command& command) {
-#if NS_FAULT_ENABLED
+namespace {
+
+/// Sites of one ring's in-transit faults (docs/INJECT.md).
+struct TransitSites {
+  const char* drop;
+  const char* delay;
+  const char* dup;
+};
+constexpr TransitSites kCommandSites{"shm.cmd.drop", "shm.cmd.delay", "shm.cmd.dup"};
+constexpr TransitSites kTelemetrySites{"shm.tel.drop", "shm.tel.delay", "shm.tel.dup"};
+
+/// Push, counting a full ring as a drop. Always inlined: unarmed, this is
+/// the whole push.
+template <typename Ring, typename Message>
+[[gnu::always_inline]] inline bool push_counted(Ring& ring,
+                                                std::atomic<std::uint64_t>& dropped,
+                                                const Message& message) {
+  if (ring.try_push(message)) return true;
+  dropped.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+/// Age the messages held at `delay_site` by one op and push those whose
+/// delay expired. Out of line, so an unarmed push carries no frame for the
+/// held copy.
+template <typename Ring, typename Message>
+[[gnu::noinline]] void replay_expired(Ring& ring, std::atomic<std::uint64_t>& dropped,
+                                      const char* delay_site) {
+  inject::delay_tick(delay_site);
+  Message held{};
+  while (inject::take_ready(delay_site, &held, sizeof(held))) {
+    push_counted(ring, dropped, held);
+  }
+}
+
+/// One ring push through the in-transit fault hooks.
+template <typename Ring, typename Message>
+bool push_message(Ring& ring, std::atomic<std::uint64_t>& dropped, const Message& message,
+                  const TransitSites& sites) {
   // In-transit loss: report success to the sender and do NOT bump the drop
   // counter — the receiver must detect the gap from seq alone.
-  if (inject::fire("shm.cmd.drop", command.seq)) return true;
-  if (inject::hold("shm.cmd.delay", command.seq, &command, sizeof(command))) return true;
-  if (inject::fire("shm.cmd.dup", command.seq)) {
-    if (layout_->commands.try_push(command)) {
-      // fall through: push the original below for the duplicate delivery
-    } else {
-      layout_->commands_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  const bool pushed = layout_->commands.try_push(command);
-  if (!pushed) layout_->commands_dropped.fetch_add(1, std::memory_order_relaxed);
+  if (NS_FAULT(sites.drop, message.seq)) return true;
+  if (NS_FAULT_HOLD(sites.delay, message.seq, message)) return true;
+  if (NS_FAULT(sites.dup, message.seq)) push_counted(ring, dropped, message);
+  const bool pushed = push_counted(ring, dropped, message);
   // A held message whose delay expired is re-injected AFTER the current
   // push — with ticks=1 the two genuinely swap order on the wire.
-  inject::delay_tick("shm.cmd.delay");
-  Command held{};
-  while (inject::take_ready("shm.cmd.delay", &held, sizeof(held))) {
-    if (!layout_->commands.try_push(held)) {
-      layout_->commands_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  if (inject::armed()) replay_expired<Ring, Message>(ring, dropped, sites.delay);
   return pushed;
-#else
-  if (layout_->commands.try_push(command)) return true;
-  layout_->commands_dropped.fetch_add(1, std::memory_order_relaxed);
-  return false;
-#endif
+}
+
+}  // namespace
+
+bool ShmChannel::push_command(const Command& command) {
+  return push_message(layout_->commands, layout_->commands_dropped, command, kCommandSites);
 }
 
 std::optional<Command> ShmChannel::pop_command() {
-#if NS_FAULT_ENABLED
   // Enactment stall: the runtime side takes this long to get around to the
   // next command — the laggard the compliance watchdog exists to catch. The
   // command is delayed, not lost (a stalled app eventually complies).
-  inject::fire_pause("client.enact.stall", nullptr);
-#endif
+  NS_FAULT_PAUSE("client.enact.stall", nullptr);
   return layout_->commands.try_pop();
 }
 
 bool ShmChannel::push_telemetry(const Telemetry& telemetry) {
-#if NS_FAULT_ENABLED
   // Ack suppression: telemetry still flows, but the compliance ack fields
   // are wiped — the runtime looks alive yet never reports enactment.
-  if (inject::fire("client.ack.suppress", telemetry.seq)) {
+  if (NS_FAULT("client.ack.suppress", telemetry.seq)) {
     Telemetry stripped = telemetry;
     stripped.enacted_epoch = 0;
     stripped.enacted_target = kUnconstrained;
-    return push_telemetry_impl(stripped);
+    return push_message(layout_->telemetry, layout_->telemetry_dropped, stripped,
+                        kTelemetrySites);
   }
-#endif
-  return push_telemetry_impl(telemetry);
-}
-
-bool ShmChannel::push_telemetry_impl(const Telemetry& telemetry) {
-#if NS_FAULT_ENABLED
-  if (inject::fire("shm.tel.drop", telemetry.seq)) return true;
-  if (inject::hold("shm.tel.delay", telemetry.seq, &telemetry, sizeof(telemetry))) return true;
-  if (inject::fire("shm.tel.dup", telemetry.seq)) {
-    if (!layout_->telemetry.try_push(telemetry)) {
-      layout_->telemetry_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  const bool pushed = layout_->telemetry.try_push(telemetry);
-  if (!pushed) layout_->telemetry_dropped.fetch_add(1, std::memory_order_relaxed);
-  inject::delay_tick("shm.tel.delay");
-  Telemetry held{};
-  while (inject::take_ready("shm.tel.delay", &held, sizeof(held))) {
-    if (!layout_->telemetry.try_push(held)) {
-      layout_->telemetry_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return pushed;
-#else
-  if (layout_->telemetry.try_push(telemetry)) return true;
-  layout_->telemetry_dropped.fetch_add(1, std::memory_order_relaxed);
-  return false;
-#endif
+  return push_message(layout_->telemetry, layout_->telemetry_dropped, telemetry,
+                      kTelemetrySites);
 }
 
 std::optional<Telemetry> ShmChannel::pop_telemetry() {

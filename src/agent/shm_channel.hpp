@@ -120,9 +120,6 @@ class ShmChannel final : public ChannelBase {
 
   ShmChannel(std::string name, Layout* layout, bool creator);
 
-  /// The actual ring push, behind the ack-suppression fault hook.
-  bool push_telemetry_impl(const Telemetry& telemetry);
-
   std::string name_;
   Layout* layout_ = nullptr;
   bool creator_ = false;

@@ -8,11 +8,11 @@
 #include <thread>
 
 #include "common/assert.hpp"
+#include "common/fault.hpp"
 #include "common/format.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/threading.hpp"
-#include "inject/fault.hpp"
 
 namespace numashare::nsd {
 

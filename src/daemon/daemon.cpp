@@ -13,10 +13,10 @@
 
 #include "agent/policies.hpp"
 #include "common/assert.hpp"
+#include "common/fault.hpp"
 #include "common/format.hpp"
 #include "common/logging.hpp"
 #include "common/threading.hpp"
-#include "inject/fault.hpp"
 
 namespace numashare::nsd {
 

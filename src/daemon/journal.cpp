@@ -9,8 +9,8 @@
 #include <fstream>
 #include <iterator>
 
+#include "common/fault.hpp"
 #include "common/format.hpp"
-#include "inject/fault.hpp"
 
 namespace numashare::nsd {
 
@@ -55,7 +55,12 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-std::string jstr(std::string_view text) { return "\"" + json_escape(text) + "\""; }
+std::string jstr(std::string_view text) {
+  std::string out = "\"";
+  out += json_escape(text);
+  out += '"';
+  return out;
+}
 
 std::uint32_t crc32(std::string_view text) {
   static const auto table = [] {
@@ -240,7 +245,7 @@ RecoveredJournal recover_journal(const std::string& path) {
 }
 
 std::optional<std::string> journal_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + json_escape(key) + "\":";
+  const std::string needle = jstr(key) + ":";
   // Scan outside of strings only, at nesting depth 1.
   int depth = 0;
   bool in_string = false;

@@ -9,8 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/fault.hpp"
 #include "common/format.hpp"
-#include "inject/fault.hpp"
 
 namespace numashare::nsd {
 

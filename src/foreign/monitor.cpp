@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "inject/fault.hpp"
+#include "common/fault.hpp"
 
 namespace numashare::foreign {
 
@@ -58,7 +58,6 @@ void ForeignMonitor::admit(Tracked& entry, std::vector<ForeignEvent>& events) {
 std::vector<ForeignEvent> ForeignMonitor::tick(double now_seconds) {
   auto scan = scanner_.scan(now_seconds);
 
-#if NS_FAULT_ENABLED
   if (NS_FAULT_AT("foreign.appear")) {
     // A synthetic hog materializes on node 0, eating half its cores. It
     // persists (and keeps consuming) until foreign.die removes it.
@@ -77,7 +76,6 @@ std::vector<ForeignEvent> ForeignMonitor::tick(double now_seconds) {
     }
   }
   if (NS_FAULT_AT("foreign.die")) synthetic_.clear();
-#endif
 
   std::vector<ForeignEvent> events;
   if (!scan && synthetic_.empty() && tracked_.empty()) return events;

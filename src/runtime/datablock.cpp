@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
-#include "inject/fault.hpp"
+#include "common/fault.hpp"
 
 namespace numashare::rt {
 

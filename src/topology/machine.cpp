@@ -119,7 +119,8 @@ std::string Machine::describe() const {
     for (NodeId a = 0; a < node_count(); ++a) {
       out += "   ";
       for (NodeId b = 0; b < node_count(); ++b) {
-        out += " " + fmt_compact(a == b ? 0.0 : link_bandwidth(a, b));
+        out += ' ';
+        out += fmt_compact(a == b ? 0.0 : link_bandwidth(a, b));
       }
       out += "\n";
     }

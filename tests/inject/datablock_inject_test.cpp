@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "agent/policies.hpp"
+#include "common/fault.hpp"
 #include "daemon/daemon.hpp"
-#include "inject/fault.hpp"
 #include "runtime/datablock.hpp"
 #include "topology/machine.hpp"
 

@@ -38,12 +38,12 @@
 
 #include "agent/policies.hpp"
 #include "agent/shm_channel.hpp"
+#include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/failover.hpp"
 #include "daemon/journal.hpp"
-#include "inject/fault.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::nsd {

@@ -1,20 +1,21 @@
 // FaultPlan grammar, match-and-consume semantics, and the message-hold
-// machinery — plus the ShmChannel drop/dup/delay hooks end to end (this
-// binary links the instrumented twin libraries, so NUMASHARE_INJECT is on).
-#include "inject/fault.hpp"
+// machinery — plus the ShmChannel drop/dup/delay hooks end to end, through
+// the production ShmChannel (hooks are always compiled in, armed only by an
+// installed plan).
+#include "common/fault.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "agent/shm_channel.hpp"
 
 namespace numashare::inject {
 namespace {
-
-static_assert(NS_FAULT_ENABLED, "tests/inject must build against the instrumented twins");
 
 /// Every test starts and ends planless; a leaked plan would poison the
 /// other tests in this process.
@@ -160,6 +161,64 @@ TEST_F(FaultPlanTest, HoldAgesByTicksThenReleases) {
 }
 
 // ---- the hooks as wired into ShmChannel --------------------------------
+
+// Unarmed, every hook is inert and the traffic is exact; installing a plan
+// arms the same compiled code, and clearing it disarms it again.
+TEST_F(FaultPlanTest, ChannelHooksArmOnlyWhileAPlanIsInstalled) {
+  auto channel = agent::ShmChannel::create(unique_channel("armed"));
+  ASSERT_NE(channel, nullptr);
+  const auto send = [&](std::initializer_list<std::uint64_t> seqs) {
+    for (const auto seq : seqs) {
+      agent::Command cmd;
+      cmd.seq = seq;
+      cmd.total_threads = static_cast<std::uint32_t>(seq * 3);
+      agent::Telemetry tel;
+      tel.seq = seq;
+      tel.enacted_epoch = seq * 5;
+      EXPECT_TRUE(channel->push_command(cmd));
+      EXPECT_TRUE(channel->push_telemetry(tel));
+    }
+  };
+  const auto received_commands = [&] {
+    std::vector<std::uint64_t> seqs;
+    while (auto cmd = channel->pop_command()) {
+      EXPECT_EQ(cmd->total_threads, cmd->seq * 3);
+      seqs.push_back(cmd->seq);
+    }
+    return seqs;
+  };
+  const auto received_telemetry = [&] {
+    std::vector<std::uint64_t> seqs;
+    while (auto tel = channel->pop_telemetry()) {
+      EXPECT_EQ(tel->enacted_epoch, tel->seq * 5);
+      seqs.push_back(tel->seq);
+    }
+    return seqs;
+  };
+  using Seqs = std::vector<std::uint64_t>;
+
+  EXPECT_FALSE(armed());
+  send({1, 2, 3});
+  EXPECT_EQ(received_commands(), (Seqs{1, 2, 3}));
+  EXPECT_EQ(received_telemetry(), (Seqs{1, 2, 3}));
+  EXPECT_EQ(total_fires(), 0u);
+
+  ASSERT_TRUE(install_spec("shm.cmd.delay@seq=5,ticks=1"));
+  EXPECT_TRUE(armed());
+  send({4, 5, 6});
+  EXPECT_EQ(received_commands(), (Seqs{4, 6, 5}));  // held, then re-delivered
+  EXPECT_EQ(received_telemetry(), (Seqs{4, 5, 6}));
+  EXPECT_EQ(fires("shm.cmd.delay"), 1u);
+
+  clear_plan();
+  EXPECT_FALSE(armed());
+  send({7, 8});
+  EXPECT_EQ(received_commands(), (Seqs{7, 8}));
+  EXPECT_EQ(received_telemetry(), (Seqs{7, 8}));
+  EXPECT_EQ(total_fires(), 0u);
+  EXPECT_EQ(channel->commands_dropped(), 0u);
+  EXPECT_EQ(channel->telemetry_dropped(), 0u);
+}
 
 TEST_F(FaultPlanTest, ChannelDropIsSilentInTransitLoss) {
   auto channel = agent::ShmChannel::create(unique_channel("drop"));

@@ -45,12 +45,12 @@
 
 #include "agent/policies.hpp"
 #include "agent/shm_channel.hpp"
+#include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/journal.hpp"
-#include "inject/fault.hpp"
 #include "runtime/datablock.hpp"
 #include "topology/machine.hpp"
 

@@ -9,8 +9,8 @@
 
 #include <string>
 
+#include "common/fault.hpp"
 #include "foreign/monitor.hpp"
-#include "inject/fault.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::foreign {

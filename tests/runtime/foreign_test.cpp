@@ -154,8 +154,10 @@ TEST(ForeignThreads, ConcurrentEnrollPollAndAccounting) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
+      std::string name = "w";
+      name += std::to_string(t);
       for (int round = 0; round < kRounds; ++round) {
-        auto handle = registry.enroll("w" + std::to_string(t),
+        auto handle = registry.enroll(name,
                                       t % 2 == 0 ? ForeignRole::kCompute
                                                  : ForeignRole::kIo);
         for (int p = 0; p < 4; ++p) handle->poll();
