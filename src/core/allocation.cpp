@@ -1,5 +1,6 @@
 #include "core/allocation.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/assert.hpp"
@@ -8,7 +9,7 @@
 namespace numashare::model {
 
 Allocation::Allocation(std::uint32_t apps, std::uint32_t nodes)
-    : threads_(apps, std::vector<std::uint32_t>(nodes, 0)) {}
+    : apps_(apps), nodes_(apps == 0 ? 0 : nodes), counts_(std::size_t{apps} * nodes_, 0) {}
 
 Allocation Allocation::from_matrix(std::vector<std::vector<std::uint32_t>> threads) {
   NS_REQUIRE(!threads.empty(), "allocation needs at least one app");
@@ -16,8 +17,11 @@ Allocation Allocation::from_matrix(std::vector<std::vector<std::uint32_t>> threa
   for (const auto& row : threads) {
     NS_REQUIRE(row.size() == nodes, "ragged allocation matrix");
   }
-  Allocation allocation;
-  allocation.threads_ = std::move(threads);
+  Allocation allocation(static_cast<std::uint32_t>(threads.size()),
+                        static_cast<std::uint32_t>(nodes));
+  for (AppId a = 0; a < allocation.apps_; ++a) {
+    std::copy(threads[a].begin(), threads[a].end(), allocation.counts_.begin() + a * nodes);
+  }
   return allocation;
 }
 
@@ -57,35 +61,32 @@ Allocation Allocation::node_per_app(const topo::Machine& machine,
 }
 
 std::uint32_t Allocation::threads(AppId app, topo::NodeId node) const {
-  NS_REQUIRE(app < threads_.size(), "app id out of range");
-  NS_REQUIRE(node < threads_[app].size(), "node id out of range");
-  return threads_[app][node];
+  NS_REQUIRE(app < apps_, "app id out of range");
+  NS_REQUIRE(node < nodes_, "node id out of range");
+  return counts_[app * nodes_ + node];
 }
 
 void Allocation::set_threads(AppId app, topo::NodeId node, std::uint32_t count) {
-  NS_REQUIRE(app < threads_.size(), "app id out of range");
-  NS_REQUIRE(node < threads_[app].size(), "node id out of range");
-  threads_[app][node] = count;
+  NS_REQUIRE(app < apps_, "app id out of range");
+  NS_REQUIRE(node < nodes_, "node id out of range");
+  counts_[app * nodes_ + node] = count;
 }
 
 std::uint32_t Allocation::app_total(AppId app) const {
-  NS_REQUIRE(app < threads_.size(), "app id out of range");
-  return std::accumulate(threads_[app].begin(), threads_[app].end(), 0u);
+  NS_REQUIRE(app < apps_, "app id out of range");
+  const auto row = counts_.begin() + app * nodes_;
+  return std::accumulate(row, row + nodes_, 0u);
 }
 
 std::uint32_t Allocation::node_total(topo::NodeId node) const {
+  NS_REQUIRE(apps_ == 0 || node < nodes_, "node id out of range");
   std::uint32_t total = 0;
-  for (const auto& row : threads_) {
-    NS_REQUIRE(node < row.size(), "node id out of range");
-    total += row[node];
-  }
+  for (AppId a = 0; a < apps_; ++a) total += counts_[a * nodes_ + node];
   return total;
 }
 
 std::uint32_t Allocation::total() const {
-  std::uint32_t total = 0;
-  for (AppId a = 0; a < app_count(); ++a) total += app_total(a);
-  return total;
+  return std::accumulate(counts_.begin(), counts_.end(), 0u);
 }
 
 bool Allocation::validate(const topo::Machine& machine, std::string* error) const {
@@ -93,7 +94,7 @@ bool Allocation::validate(const topo::Machine& machine, std::string* error) cons
     if (error) *error = std::move(message);
     return false;
   };
-  if (threads_.empty()) return fail("no apps in allocation");
+  if (apps_ == 0) return fail("no apps in allocation");
   if (node_count() != machine.node_count()) {
     return fail(ns_format("allocation has {} nodes, machine has {}", node_count(),
                           machine.node_count()));
@@ -115,7 +116,7 @@ std::string Allocation::to_string() const {
     out += ns_format("app{}:[", a);
     for (topo::NodeId n = 0; n < node_count(); ++n) {
       if (n) out += " ";
-      out += ns_format("{}", threads_[a][n]);
+      out += ns_format("{}", counts_[a * nodes_ + n]);
     }
     out += "]";
   }

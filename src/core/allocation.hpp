@@ -39,10 +39,8 @@ class Allocation {
   static Allocation node_per_app(const topo::Machine& machine,
                                  std::vector<topo::NodeId> order);
 
-  std::uint32_t app_count() const { return static_cast<std::uint32_t>(threads_.size()); }
-  std::uint32_t node_count() const {
-    return threads_.empty() ? 0 : static_cast<std::uint32_t>(threads_.front().size());
-  }
+  std::uint32_t app_count() const { return apps_; }
+  std::uint32_t node_count() const { return nodes_; }
 
   std::uint32_t threads(AppId app, topo::NodeId node) const;
   void set_threads(AppId app, topo::NodeId node, std::uint32_t count);
@@ -57,10 +55,19 @@ class Allocation {
   /// "app0:[1 1 1 1] app1:[5 5 5 5]" style rendering.
   std::string to_string() const;
 
-  bool operator==(const Allocation& other) const { return threads_ == other.threads_; }
+  bool operator==(const Allocation& other) const {
+    return apps_ == other.apps_ && nodes_ == other.nodes_ && counts_ == other.counts_;
+  }
+
+  /// The counts as one row-major array: threads(app, node) is
+  /// counts()[app * node_count() + node]. For the solver kernel, which checks
+  /// the shape once per search instead of once per cell.
+  const std::uint32_t* counts() const { return counts_.data(); }
 
  private:
-  std::vector<std::vector<std::uint32_t>> threads_;
+  std::uint32_t apps_ = 0;
+  std::uint32_t nodes_ = 0;  // 0 whenever apps_ is
+  std::vector<std::uint32_t> counts_;
 };
 
 }  // namespace numashare::model

@@ -15,6 +15,14 @@
 
 namespace numashare::model {
 
+/// Effective parallelism of `threads` real threads with the given serial
+/// fraction: 1 / (serial + (1-serial)/T), exactly T when serial <= 0.
+inline double amdahl_threads(double serial_fraction, std::uint32_t threads) {
+  if (threads == 0) return 0.0;
+  if (serial_fraction <= 0.0) return threads;
+  return 1.0 / (serial_fraction + (1.0 - serial_fraction) / threads);
+}
+
 enum class Placement : std::uint8_t {
   /// Each thread accesses only the memory of the node it executes on.
   kNumaPerfect,
@@ -48,9 +56,7 @@ struct AppSpec {
   }
   /// Effective thread count of T real threads under Amdahl's law.
   double effective_threads(std::uint32_t threads) const {
-    if (threads == 0) return 0.0;
-    if (serial_fraction <= 0.0) return threads;
-    return 1.0 / (serial_fraction + (1.0 - serial_fraction) / threads);
+    return amdahl_threads(serial_fraction, threads);
   }
 
   /// The memory node a thread of this app touches when executing on `exec`.

@@ -43,30 +43,6 @@ const char* to_string(Objective objective) {
 
 namespace {
 
-GFlops node_core_peak(const topo::Machine& machine, topo::NodeId node) {
-  const auto& n = machine.node(node);
-  NS_ASSERT(!n.cores.empty());
-  return machine.core(n.cores.front()).peak_gflops;
-}
-
-GBps foreign_node_bw(const ForeignLoad& foreign, topo::NodeId node) {
-  return node < foreign.bandwidth.size() ? std::max(0.0, foreign.bandwidth[node]) : 0.0;
-}
-
-double foreign_node_cores(const topo::Machine& machine, const ForeignLoad& foreign,
-                          topo::NodeId node) {
-  if (node >= foreign.busy_cores.size()) return 0.0;
-  const double cores = machine.cores_in_node(node);
-  return std::min(std::max(0.0, foreign.busy_cores[node]), cores);
-}
-
-void require_foreign_shape(const topo::Machine& machine, const ForeignLoad& foreign) {
-  NS_REQUIRE(foreign.busy_cores.empty() || foreign.busy_cores.size() == machine.node_count(),
-             "foreign busy_cores must be empty or one entry per node");
-  NS_REQUIRE(foreign.bandwidth.empty() || foreign.bandwidth.size() == machine.node_count(),
-             "foreign bandwidth must be empty or one entry per node");
-}
-
 void compose(std::uint32_t apps_left, std::uint32_t budget, bool require_full,
              std::uint32_t min_per_app, std::vector<std::uint32_t>& current,
              std::vector<std::vector<std::uint32_t>>& out) {
@@ -186,10 +162,9 @@ struct SearchBounds {
   std::vector<double> suffix_flat;  // suffix sums of flat, size apps + 1
 };
 
-SearchBounds make_search_bounds(const topo::Machine& machine, const std::vector<AppSpec>& apps,
-                                const ForeignLoad& foreign) {
+SearchBounds make_search_bounds(const SolvePlan& plan, const std::vector<AppSpec>& apps) {
   SearchBounds b;
-  const auto nodes_n = machine.node_count();
+  const auto nodes_n = plan.node_count;
   // Foreign load tightens (never loosens) both axes of the bound: the slope
   // uses the compute left after foreign busy cores — a thread on node m gets
   // a share min(1, (C-F)/T) <= min(1, C-F) of a core — and the bandwidth
@@ -197,24 +172,17 @@ SearchBounds make_search_bounds(const topo::Machine& machine, const std::vector<
   // solver serves foreign draw off the top. With no foreign load both reduce
   // bitwise to the PR-5 bounds.
   double total_bw = 0.0;
-  for (topo::NodeId m = 0; m < nodes_n; ++m) {
-    const double avail =
-        std::max(0.0, machine.cores_in_node(m) - foreign_node_cores(machine, foreign, m));
-    b.slope += node_core_peak(machine, m) * std::min(1.0, avail);
-    total_bw += std::max(0.0, machine.node(m).memory_bandwidth - foreign_node_bw(foreign, m));
+  for (const SolvePlan::Node& node : plan.nodes) {
+    b.slope += node.core_peak * std::min(1.0, node.free_cores);
+    total_bw += node.coop_bandwidth;
   }
   b.flat.resize(apps.size());
   b.suffix_flat.assign(apps.size() + 1, 0.0);
   for (std::size_t a = 0; a < apps.size(); ++a) {
     const auto& app = apps[a];
-    if (app.placement == Placement::kNumaBad) {
-      NS_REQUIRE(app.home_node < nodes_n, "NUMA-bad home node out of range");
-    }
-    const double home_bw =
-        app.placement == Placement::kNumaBad
-            ? std::max(0.0, machine.node(app.home_node).memory_bandwidth -
-                                foreign_node_bw(foreign, app.home_node))
-            : 0.0;
+    const double home_bw = app.placement == Placement::kNumaBad
+                               ? plan.nodes[app.home_node].coop_bandwidth
+                               : 0.0;
     double f = app.placement == Placement::kNumaBad ? home_bw * app.ai : total_bw * app.ai;
     if (app.serial_fraction > 0.0) {
       // Amdahl: capped at thread-weighted mean peak x effective threads;
@@ -243,8 +211,9 @@ struct StreamSearch {
   bool require_full;
   std::uint32_t min_per_app;
   const std::vector<std::uint32_t>& caps;
-  /// Carries the foreign load into every candidate (and bound) solve.
-  SolveOptions solve_options;
+  /// The solver's per-search constants, foreign load included, shared by
+  /// every candidate and bound solve.
+  SolvePlan plan;
 
   std::uint32_t apps_n = 0;
   std::uint32_t nodes_n = 0;
@@ -275,12 +244,14 @@ struct StreamSearch {
         require_full(require_full_),
         min_per_app(min_per_app_),
         caps(caps_) {
+    SolveOptions solve_options;
     solve_options.foreign = foreign_;
+    plan_solve(machine, apps, solve_options, plan);
     apps_n = static_cast<std::uint32_t>(apps.size());
     nodes_n = machine.node_count();
     budget = smallest_node_cores(machine);
     prune_enabled = caps.empty();
-    if (prune_enabled) bounds = make_search_bounds(machine, apps, foreign_);
+    if (prune_enabled) bounds = make_search_bounds(plan, apps);
     workspace = Allocation(apps_n, nodes_n);
     best.objective_value = -std::numeric_limits<double>::infinity();
   }
@@ -341,7 +312,7 @@ struct StreamSearch {
       apply_caps(machine, capped, caps, cap_totals, cap_freed);
       candidate = &capped;
     }
-    const Solution& solution = solve_into(machine, apps, *candidate, eval_scratch, solve_options);
+    const Solution& solution = solve_planned(plan, *candidate, eval_scratch);
     ++best.evaluated;
     const double value = score(solution, objective);
     if (value > best.objective_value) {
@@ -408,8 +379,7 @@ struct StreamSearch {
         // model run on the prefix alone (tail rows zero). Removing apps only
         // frees bandwidth for the ones that remain, so each assigned app's
         // partial throughput upper-bounds its throughput in any completion.
-        const Solution& partial =
-            solve_into(machine, apps, workspace, bound_scratch, solve_options);
+        const Solution& partial = solve_planned(plan, workspace, bound_scratch);
         ++best.bound_solves;
         double p_total = partial.total_gflops;
         double p_min = std::numeric_limits<double>::infinity();
@@ -486,9 +456,12 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
   SolveScratch eval;
   SolveOptions solve_options;
   solve_options.foreign = foreign;
+  SolvePlan plan;
+  plan_solve(machine, apps, solve_options, plan);
+  NS_REQUIRE(plan.fits(start), "app specs must index-match the allocation");
   SearchResult best;
   best.allocation = start;
-  best.solution = solve_into(machine, apps, start, eval, solve_options);
+  best.solution = solve_planned(plan, start, eval);
   best.evaluated = 1;
   best.objective_value = score(best.solution, objective);
 
@@ -585,7 +558,7 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
     const auto consider = [&](const Move& m) {
       const std::int64_t delta = move_delta(m);
       do_move(m);
-      const Solution& solution = solve_into(machine, apps, current, eval, solve_options);
+      const Solution& solution = solve_planned(plan, current, eval);
       ++best.evaluated;
       const double raw = score(solution, objective);
       const double ranked = penalized ? raw - per_unit * static_cast<double>(churn + delta) : raw;
@@ -698,7 +671,6 @@ SearchResult exhaustive_search(const topo::Machine& machine, const std::vector<A
   NS_REQUIRE(!apps.empty(), "need at least one app");
   NS_REQUIRE(caps.empty() || caps.size() == apps.size(),
              "caps must be empty or one per app");
-  require_foreign_shape(machine, foreign);
   // Clamp an infeasible per-app minimum (more apps than cores per node)
   // rather than refusing: policies run against whatever machine they find.
   const std::uint32_t min_cores = smallest_node_cores(machine);
@@ -716,7 +688,6 @@ SearchResult exhaustive_search_reference(const topo::Machine& machine,
                                          const ForeignLoad& foreign) {
   NS_REQUIRE(caps.empty() || caps.size() == apps.size(),
              "caps must be empty or one per app");
-  require_foreign_shape(machine, foreign);
   const std::uint32_t min_cores = smallest_node_cores(machine);
   const auto apps_n = static_cast<std::uint32_t>(apps.size());
   min_threads_per_app = std::min(min_threads_per_app, min_cores / std::max(1u, apps_n));
@@ -752,7 +723,6 @@ SearchResult greedy_search(const topo::Machine& machine, const std::vector<AppSp
                            const Allocation& start, const GreedyOptions& options) {
   std::string error;
   NS_REQUIRE(start.validate(machine, &error), error.c_str());
-  require_foreign_shape(machine, options.foreign);
   return climb(machine, apps, start, options.objective, options.max_rounds,
                options.min_relative_gain, /*churn_penalty_rel=*/0.0, /*churn_seed=*/nullptr,
                /*min_app_total=*/0, options.foreign);
@@ -762,7 +732,6 @@ SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSp
                            const Allocation& seed, const RefineOptions& options) {
   std::string error;
   NS_REQUIRE(seed.validate(machine, &error), error.c_str());
-  require_foreign_shape(machine, options.foreign);
   return climb(machine, apps, seed, options.objective, options.max_rounds,
                options.min_relative_gain, options.churn_penalty, &seed,
                options.min_threads_per_app, options.foreign);

@@ -117,15 +117,58 @@ struct Solution {
   std::string describe(const std::vector<AppSpec>& apps) const;
 };
 
+/// Everything a solve needs that does not depend on the allocation: built
+/// once per search by plan_solve() — which runs all of the solver's checks —
+/// and then read by solve_planned() for every candidate. Per node it holds
+/// the core peak and count and what foreign load leaves of the controller
+/// and the cores; per (app, node) cell, row-major like an Allocation, the
+/// per-thread demand and the memory node a thread there touches.
+struct SolvePlan {
+  struct Node {
+    GFlops core_peak = 0.0;
+    double cores = 0.0;
+    GBps bandwidth = 0.0;        // controller peak
+    GBps foreign_granted = 0.0;  // foreign draw, served off the top
+    GBps coop_bandwidth = 0.0;   // what cooperating flows compete for
+    double foreign_cores = 0.0;  // foreign busy cores, clamped to [0, cores]
+    double free_cores = 0.0;     // cores - foreign_cores, at least 0
+  };
+  struct Cell {
+    GBps demand = 0.0;  // per thread
+    topo::NodeId memory_node = 0;
+  };
+  struct App {
+    ArithmeticIntensity ai = 1.0;
+    double serial_fraction = 0.0;
+  };
+
+  std::uint32_t app_count = 0;
+  std::uint32_t node_count = 0;
+  std::uint32_t max_waterfill_rounds = 64;
+  bool single_shot_remainder = false;
+  bool foreign_compute = false;  // some node has foreign busy cores
+  std::vector<Node> nodes;
+  std::vector<GBps> links;  // directed, row-major: links[from * node_count + to]
+  std::vector<Cell> cells;
+  std::vector<App> apps;
+
+  /// The allocation shape solve_planned() requires.
+  bool fits(const Allocation& allocation) const {
+    return allocation.app_count() == app_count && allocation.node_count() == node_count;
+  }
+};
+
 /// Reusable solver workspace. The allocation search calls the model once per
 /// candidate — tens of thousands to hundreds of millions of times per
 /// decision — so the solver must not touch the heap in steady state. A
 /// SolveScratch owns the Solution plus the solver's internal bucketing
 /// arrays; after the first call with a given problem shape, every subsequent
-/// solve_into() through the same scratch performs zero heap allocations
-/// (verified by tests/core/solve_scratch_test.cpp under ASan).
+/// solve through the same scratch performs zero heap allocations (verified
+/// by tests/core/solve_scratch_test.cpp under ASan).
 struct SolveScratch {
   Solution solution;
+  /// The plan solve_into() fills on every call; searches keep their own.
+  SolvePlan plan;
 
   /// Internal CSR bucketing of group indices by memory node, rebuilt per
   /// call: bucket_groups[bucket_offset[m] .. bucket_offset[m+1]) lists the
@@ -133,10 +176,12 @@ struct SolveScratch {
   std::vector<std::uint32_t> bucket_cursor;
   std::vector<std::uint32_t> bucket_offset;
   std::vector<std::uint32_t> bucket_groups;
-
-  /// Cooperating threads per execution node, used to timeshare compute
-  /// against foreign busy cores. Only populated when the solve options carry
-  /// a ForeignLoad; untouched (and unallocated) otherwise.
+  /// Groups are app-major: app a's are [app_group_offset[a], [a+1]).
+  std::vector<std::uint32_t> app_group_offset;
+  /// Per execution node: the share of a core each cooperating thread gets
+  /// against foreign busy cores, and (only with foreign compute) the
+  /// cooperating thread count that share is computed from.
+  std::vector<double> compute_share;
   std::vector<std::uint32_t> node_threads;
 };
 
@@ -147,7 +192,8 @@ Solution solve(const topo::Machine& machine, const std::vector<AppSpec>& apps,
 
 /// Hot-path variant: solve into `scratch` and return a reference to
 /// scratch.solution (valid until the next call with the same scratch).
-/// Performs no heap allocations once the scratch has warmed up.
+/// Performs no heap allocations once the scratch has warmed up. Equivalent
+/// to plan_solve() into scratch.plan, a shape check, then solve_planned().
 ///
 /// Precondition (unchecked here, asserted by the public solve() wrapper):
 /// `machine` and `allocation` validate — Machine::validate() itself
@@ -157,5 +203,20 @@ Solution solve(const topo::Machine& machine, const std::vector<AppSpec>& apps,
 const Solution& solve_into(const topo::Machine& machine, const std::vector<AppSpec>& apps,
                            const Allocation& allocation, SolveScratch& scratch,
                            const SolveOptions& options = {});
+
+/// Fill `plan` for solving `apps` on `machine` under `options`, checking the
+/// specs (positive AI, NUMA-bad home in range, serial fraction below 1) and
+/// the foreign-load shape. Allocation-free once `plan` has held a problem of
+/// the same shape.
+void plan_solve(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+                const SolveOptions& options, SolvePlan& plan);
+
+/// The solver kernel: evaluate `allocation` against a plan, with no checks
+/// and no heap allocation once `scratch` has warmed up. Precondition:
+/// plan.fits(allocation), checked once by the caller (the searches build
+/// their candidates in the plan's shape). Several scratches may share one
+/// plan. Bitwise-identical to solve() on the same inputs.
+const Solution& solve_planned(const SolvePlan& plan, const Allocation& allocation,
+                              SolveScratch& scratch);
 
 }  // namespace numashare::model

@@ -265,6 +265,7 @@ void Daemon::admit(std::uint32_t index, std::uint64_t joining_word, double now) 
   }
   registry_->header().generation.store(agent_->generation(), std::memory_order_relaxed);
   used_bits_[index / kSlotsPerShard] |= std::uint64_t{1} << (index % kSlotsPerShard);
+  client_count_.fetch_add(1, std::memory_order_relaxed);
   // Sparse map: only advertisements the policy could actually substitute.
   // lookup() above then short-circuits on empty() in the steady state.
   if (client.advertised_ai > 0.0) advertised_ai_by_name_[app_name] = client.advertised_ai;
@@ -297,6 +298,7 @@ void Daemon::retire(std::uint32_t index, const char* reason, double now) {
   advertised_ai_by_name_.erase(client.app_name);
   client = Client{};
   used_bits_[index / kSlotsPerShard] &= ~(std::uint64_t{1} << (index % kSlotsPerShard));
+  client_count_.fetch_sub(1, std::memory_order_relaxed);
   auto& slot = registry_->slot(index);
   registry_->header().generation.store(agent_->generation(), std::memory_order_relaxed);
   // CAS-loop to kFree: the nonce bump invalidates the departing client's
@@ -987,9 +989,7 @@ void Daemon::stop() {
 }
 
 std::size_t Daemon::client_count() const {
-  std::size_t used = 0;
-  for (const auto bits : used_bits_) used += static_cast<std::size_t>(std::popcount(bits));
-  return used;
+  return client_count_.load(std::memory_order_relaxed);
 }
 
 }  // namespace numashare::nsd

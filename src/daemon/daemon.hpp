@@ -176,10 +176,12 @@ class Daemon {
 
   agent::Agent& arbitration_agent() { return *agent_; }
   const DaemonOptions& options() const { return options_; }
+  /// Written by the loop thread: read it from there, or after stop().
   const DaemonStats& stats() const { return stats_; }
   /// This incarnation's generation: 1 fresh, recovered + 1 after a restart.
   /// Published in the registry header and stamped into every command.
   std::uint64_t arbiter_generation() const { return arbiter_generation_; }
+  /// Admitted clients. Safe to call from any thread.
   std::size_t client_count() const;
   bool initialized() const { return registry_ != nullptr; }
 
@@ -271,9 +273,12 @@ class Daemon {
   /// drives the claim-timeout reclamation.
   std::vector<double> claim_first_seen_s_;
   /// Daemon-local occupancy bitmaps, one word per registry shard: bit set =
-  /// clients_[i].used. Liveness, compliance and client_count() iterate set
-  /// bits instead of scanning the full capacity.
+  /// clients_[i].used. Liveness and compliance iterate set bits instead of
+  /// scanning the full capacity.
   std::uint64_t used_bits_[kRegistryShards] = {};
+  /// Set bits in used_bits_. Only the loop thread writes it (on admit and
+  /// retire, never per tick); client_count() may read it from any thread.
+  std::atomic<std::uint32_t> client_count_{0};
   /// Slots observed in kClaiming whose timeout we are watching (their
   /// attention bit was consumed when first seen).
   std::uint64_t claiming_bits_[kRegistryShards] = {};

@@ -156,5 +156,66 @@ TEST_P(SearchEquivalence, RefineRespectsMinThreadFloor) {
   }
 }
 
+// The arbiter_scale benchmark's shape: a 4x16 machine, five apps (two
+// NUMA-bad with homes 0 and 2), at least one thread per app per node, every
+// core used. Fixed inputs, so the search's counters can be pinned too.
+struct ProductionCase {
+  const char* name;
+  std::vector<std::uint32_t> caps;
+  ForeignLoad foreign;
+};
+
+std::vector<AppSpec> production_apps() {
+  return {AppSpec::numa_bad("s0", 0.5, 0), AppSpec::numa_bad("s1", 1.0, 2),
+          AppSpec::numa_perfect("s2", 2.0), AppSpec::numa_perfect("s3", 4.0),
+          AppSpec::numa_perfect("s4", 8.0)};
+}
+
+std::vector<ProductionCase> production_cases() {
+  ForeignLoad foreign;
+  foreign.busy_cores = {3.5, 0.0, 8.0, 0.0};
+  foreign.bandwidth = {4.0, 0.0, 12.5, 0.0};
+  return {{"uncapped", {}, {}},
+          {"capped", {8, 0xffffffffu, 20, 0xffffffffu, 12}, {}},
+          {"foreign", {}, foreign}};
+}
+
+TEST(SearchEquivalenceProduction, PrunedMatchesBruteForceAtArbiterShape) {
+  const auto machine = topo::Machine::symmetric(4, 16, 10.0, 20.0, 5.0);
+  const auto apps = production_apps();
+  for (const auto& c : production_cases()) {
+    const auto reference = exhaustive_search_reference(
+        machine, apps, Objective::kTotalGflops, true, 1, c.caps, c.foreign);
+    const auto pruned =
+        exhaustive_search(machine, apps, Objective::kTotalGflops, true, 1, c.caps, c.foreign);
+    EXPECT_EQ(pruned.objective_value, reference.objective_value) << c.name;
+    EXPECT_TRUE(pruned.allocation == reference.allocation)
+        << c.name << "\npruned " << pruned.allocation.to_string() << "\nreference "
+        << reference.allocation.to_string();
+  }
+}
+
+TEST(SearchEquivalenceProduction, SearchOrderIsPinned) {
+  // Recorded before the solver moved onto a per-search plan: the same
+  // candidates in the same order, cut by the same bounds (the foreign case
+  // also pins the post-foreign tightening of those bounds).
+  const auto machine = topo::Machine::symmetric(4, 16, 10.0, 20.0, 5.0);
+  const auto cases = production_cases();
+  const auto uncapped = exhaustive_search(machine, production_apps(), Objective::kTotalGflops,
+                                          /*require_full=*/true, /*min_threads_per_app=*/1);
+  EXPECT_EQ(uncapped.evaluated, 597u);
+  EXPECT_EQ(uncapped.visited, 597u);
+  EXPECT_EQ(uncapped.pruned, 149u);
+  EXPECT_EQ(uncapped.bound_solves, 147u);
+  EXPECT_EQ(uncapped.objective_value, 0x1.648476930d9f1p+8);
+  const auto foreign = exhaustive_search(machine, production_apps(), Objective::kTotalGflops,
+                                         true, 1, {}, cases[2].foreign);
+  EXPECT_EQ(foreign.evaluated, 854u);
+  EXPECT_EQ(foreign.visited, 854u);
+  EXPECT_EQ(foreign.pruned, 167u);
+  EXPECT_EQ(foreign.bound_solves, 236u);
+  EXPECT_EQ(foreign.objective_value, 0x1.211f4737d1cdfp+8);
+}
+
 }  // namespace
 }  // namespace numashare::model

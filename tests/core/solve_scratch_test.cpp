@@ -1,6 +1,7 @@
 // Pins the "allocation-free solver" guarantee: after one warm-up call,
-// model::solve_into must not touch the heap no matter how the allocation is
-// mutated between calls, and must produce bitwise-identical results to the
+// model::solve_into — and the plan_solve/solve_planned pair the searches
+// use — must not touch the heap no matter how the allocation is mutated
+// between calls, and must produce bitwise-identical results to the
 // validating model::solve wrapper.
 //
 // The whole binary's global operator new/delete are replaced with counting
@@ -114,6 +115,55 @@ TEST(SolveScratch, HotPathIsAllocationFreeAfterWarmup) {
 
   EXPECT_EQ(g_allocations.load(), 0u)
       << "solve_into heap-allocated inside the instrumented window";
+  EXPECT_GT(checksum, 0.0);
+
+  // The searches' shape of use: one plan per search (foreign load included),
+  // one scratch for full candidates and one for partial-prefix bound solves
+  // (tail rows zero), both reading the same plan.
+  SolveOptions options;
+  options.foreign.busy_cores = {1.5, 0.0, 3.0, 0.0};
+  options.foreign.bandwidth = {4.0, 0.0, 0.0, 9.0};
+  SolvePlan plan;
+  plan_solve(machine, apps, options, plan);
+
+  Allocation candidate(4, 4);
+  for (topo::NodeId n = 0; n < 4; ++n) {
+    for (AppId a = 0; a < 4; ++a) candidate.set_threads(a, n, 2);
+  }
+  Allocation prefix(4, 4);
+  SolveScratch eval;
+  SolveScratch bound;
+  solve_planned(plan, candidate, eval);
+  solve_planned(plan, candidate, bound);
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  checksum = 0.0;
+  for (int iter = 0; iter < 256; ++iter) {
+    const AppId from = static_cast<AppId>(iter % 4);
+    const AppId to = static_cast<AppId>((iter + 1) % 4);
+    const topo::NodeId node = static_cast<topo::NodeId>((iter / 4) % 4);
+    const auto have = candidate.threads(from, node);
+    if (have > 0) {
+      candidate.set_threads(from, node, have - 1);
+      candidate.set_threads(to, node, candidate.threads(to, node) + 1);
+    }
+    checksum += solve_planned(plan, candidate, eval).total_gflops;
+    // The bound path: apps [0, assigned) keep their rows, the tail is zero.
+    const AppId assigned = static_cast<AppId>(1 + iter % 3);
+    for (AppId a = 0; a < 4; ++a) {
+      for (topo::NodeId n = 0; n < 4; ++n) {
+        prefix.set_threads(a, n, a < assigned ? candidate.threads(a, n) : 0);
+      }
+    }
+    checksum += solve_planned(plan, prefix, bound).total_gflops;
+    // Re-planning the same shape reuses the plan's storage.
+    if (iter % 64 == 0) plan_solve(machine, apps, options, plan);
+  }
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "plan_solve/solve_planned heap-allocated inside the instrumented window";
   EXPECT_GT(checksum, 0.0);
 }
 

@@ -227,6 +227,8 @@ TEST_F(ComplianceInject, StalledLaggardCoresAreReGrantedToCompliantPeer) {
   while (daemon->client_count() > 0 && std::chrono::steady_clock::now() < drain) {
     std::this_thread::sleep_for(5ms);
   }
+  // stats() belongs to the loop thread: read it only once that has joined.
+  daemon->stop();
   EXPECT_GE(daemon->stats().laggards, 1u);
   daemon.reset();
 
