@@ -183,16 +183,19 @@ ConfigRun run_streaming(const Config& config) {
   }
 
   // Mean per-candidate model cost, both through the validating wrapper (what
-  // the reference engine pays) and through the reusable scratch.
+  // the reference engine pays) and through the reusable scratch. One pass is
+  // about a millisecond, short enough for a host hiccup to double it, so
+  // each row keeps the best of several passes.
   const auto even = model::Allocation::even(machine, config.apps);
   const int solve_iters = quick ? 200 : 2000;
-  const double solve_s = best_of_seconds(1, [&] {
+  const int solve_passes = quick ? 3 : 15;
+  const double solve_s = best_of_seconds(solve_passes, [&] {
     double sink = 0.0;
     for (int i = 0; i < solve_iters; ++i) sink += model::solve(machine, apps, even).total_gflops;
     benchmark::DoNotOptimize(sink);
   });
   model::SolveScratch scratch;
-  const double solve_into_s = best_of_seconds(1, [&] {
+  const double solve_into_s = best_of_seconds(solve_passes, [&] {
     double sink = 0.0;
     for (int i = 0; i < solve_iters; ++i) {
       sink += model::solve_into(machine, apps, even, scratch).total_gflops;

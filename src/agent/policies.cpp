@@ -165,7 +165,16 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
     ai[a] = views[a].latest.ai_estimate;
   }
 
-  if (!last_ai_.empty() && last_ai_.size() == ai.size() && !foreign_dirty_) {
+  // A data home that moved changes the problem as much as an AI drift does:
+  // the model prices a NUMA-bad app by its home controller.
+  std::vector<std::uint32_t> homes(views.size(), kMaxNodes);
+  for (std::size_t a = 0; a < views.size(); ++a) {
+    const auto home = views[a].latest.data_home_node;
+    if (home < machine.node_count()) homes[a] = home;
+  }
+
+  if (!last_ai_.empty() && last_ai_.size() == ai.size() && !foreign_dirty_ &&
+      homes == last_homes_) {
     bool drifted = false;
     for (std::size_t a = 0; a < ai.size(); ++a) {
       if (std::abs(ai[a] - last_ai_[a]) > options_.ai_drift_threshold * last_ai_[a]) {
@@ -178,12 +187,9 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
 
   std::vector<model::AppSpec> specs;
   specs.reserve(views.size());
-  std::vector<std::uint32_t> homes(views.size(), kMaxNodes);
   for (std::size_t a = 0; a < views.size(); ++a) {
-    const auto home = views[a].latest.data_home_node;
-    if (home < machine.node_count()) {
-      specs.push_back(model::AppSpec::numa_bad(views[a].name, ai[a], home));
-      homes[a] = home;
+    if (homes[a] != kMaxNodes) {
+      specs.push_back(model::AppSpec::numa_bad(views[a].name, ai[a], homes[a]));
     } else {
       specs.push_back(model::AppSpec::numa_perfect(views[a].name, ai[a]));
     }

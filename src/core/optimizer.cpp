@@ -226,6 +226,13 @@ struct StreamSearch {
   bool prune_enabled = true;
 
   SearchBounds bounds;
+  /// The joint-bandwidth bound (kTotalGflops only; see joint_bound()): the
+  /// apps by descending AI, the cooperative bandwidth every grant comes out
+  /// of, and per DFS depth d a row of GFLOPS caps on apps [0, d].
+  bool joint_enabled = false;
+  std::vector<std::uint32_t> by_ai;
+  double coop_bw = 0.0;
+  std::vector<double> depth_caps;  // apps_n x apps_n, row-major by depth
   Allocation workspace;  // the uniform candidate under construction, mutated in place
   Allocation capped;     // caps-applied copy of the workspace
   std::vector<std::uint32_t> cap_totals;
@@ -252,6 +259,19 @@ struct StreamSearch {
     budget = smallest_node_cores(machine);
     prune_enabled = caps.empty();
     if (prune_enabled) bounds = make_search_bounds(plan, apps);
+    joint_enabled = prune_enabled && objective == Objective::kTotalGflops;
+    if (joint_enabled) {
+      by_ai.resize(apps_n);
+      std::iota(by_ai.begin(), by_ai.end(), 0u);
+      std::sort(by_ai.begin(), by_ai.end(), [&](std::uint32_t x, std::uint32_t y) {
+        return plan.apps[x].ai != plan.apps[y].ai ? plan.apps[x].ai > plan.apps[y].ai : x < y;
+      });
+      // The kernel lets a controller's remote flows overshoot its
+      // cooperative bandwidth by up to 1e-12 before rescaling them; count
+      // that slack in so the bound holds exactly.
+      for (const SolvePlan::Node& node : plan.nodes) coop_bw += node.coop_bandwidth + 1e-12;
+      depth_caps.assign(static_cast<std::size_t>(apps_n) * apps_n, 0.0);
+    }
     workspace = Allocation(apps_n, nodes_n);
     best.objective_value = -std::numeric_limits<double>::infinity();
   }
@@ -260,32 +280,82 @@ struct StreamSearch {
     return std::min(static_cast<double>(c) * bounds.slope, bounds.flat[a]);
   }
 
+  /// The most cores per node any one of the `tail_n` unassigned apps can
+  /// still get: the remaining budget minus the minima its peers still need
+  /// (descend only recurses where remaining >= min_per_app x tail_n).
+  std::uint32_t tail_cmax(std::uint32_t tail_n, std::uint32_t remaining) const {
+    return tail_n == 0 ? 0 : remaining - min_per_app * (tail_n - 1);
+  }
+
+  double* cap_row(std::uint32_t depth) {
+    return depth_caps.data() + static_cast<std::size_t>(depth) * apps_n;
+  }
+
+  /// Start depth d's cap row with app d capped at `ub`. The prefix caps come
+  /// from depth d - 1, so a sibling's partial-solve tightening never leaks.
+  void open_cap_row(std::uint32_t d, double ub) {
+    double* row = cap_row(d);
+    if (d > 0) std::copy_n(cap_row(d - 1), d, row);
+    row[d] = ub;
+  }
+
+  /// Joint-bandwidth bound on the total GFLOPS of every completion once apps
+  /// [0, next_app) are assigned (their caps in row next_app - 1). The kernel
+  /// never gives an app more than ai x its granted bandwidth, and the grants
+  /// across all controllers add up to at most coop_bw, so every candidate
+  /// satisfies sum_a g_a / ai_a <= coop_bw. Each app is also capped: an
+  /// assigned app by its row entry, a tail app by the most cores it can
+  /// still get; and the tail apps share `remaining` cores per node, so their
+  /// sum is at most remaining x slope. Maximizing sum_a g_a under those
+  /// constraints is a linear program, and filling apps greedily by
+  /// descending AI is its exact optimum: it spends the bandwidth where one
+  /// GB/s buys the most GFLOPS, and the compute row only ends the tail's
+  /// share early (a bound below that optimum would not be admissible).
+  double joint_bound(std::uint32_t next_app, std::uint32_t remaining) const {
+    const double* row = depth_caps.data() + static_cast<std::size_t>(next_app - 1) * apps_n;
+    const std::uint32_t cmax = tail_cmax(apps_n - next_app, remaining);
+    double bw_left = coop_bw;
+    double tail_left = static_cast<double>(remaining) * bounds.slope;
+    double total = 0.0;
+    for (const std::uint32_t a : by_ai) {
+      const double ai = plan.apps[a].ai;
+      double take = bw_left * ai;
+      if (a < next_app) {
+        take = std::min(take, row[a]);
+      } else {
+        take = std::min({take, app_ub(a, cmax), tail_left});
+        tail_left -= take;
+      }
+      total += take;
+      bw_left -= take / ai;
+      if (bw_left <= 0.0) break;
+    }
+    return total;
+  }
+
   /// Admissible upper bound on every completion once apps [0, next_app) are
   /// assigned, from the prefix accumulators (pt: sum, pm: min, pl: log-sum
   /// — each already a valid bound on the assigned apps' final throughput)
   /// plus a fractional-relaxation bound on the unassigned tail sharing the
-  /// `remaining` per-node budget.
+  /// `remaining` per-node budget. For kTotalGflops, the smaller of that and
+  /// joint_bound().
   double combine_bound(double pt, double pm, double pl, std::uint32_t next_app,
                        std::uint32_t remaining) const {
     const std::uint32_t tail_n = apps_n - next_app;
     switch (objective) {
       case Objective::kTotalGflops:
-        return pt + (tail_n == 0 ? 0.0
-                                 : std::min(static_cast<double>(remaining) * bounds.slope,
-                                            bounds.suffix_flat[next_app]));
+        return std::min(pt + (tail_n == 0 ? 0.0
+                                          : std::min(static_cast<double>(remaining) * bounds.slope,
+                                                     bounds.suffix_flat[next_app])),
+                        joint_bound(next_app, remaining));
       case Objective::kMinAppGflops:
         // Tail apps can only lower the minimum, never raise it.
         return pm;
       case Objective::kProportionalFairness: {
         double out = pl;
-        if (tail_n > 0) {
-          // Any single tail app can take at most the remaining budget minus
-          // the minima its peers still need.
-          const double cmax = static_cast<double>(remaining) -
-                              static_cast<double>(min_per_app) * (tail_n - 1);
-          for (std::uint32_t b = next_app; b < apps_n; ++b) {
-            out += std::log(std::max(std::min(cmax * bounds.slope, bounds.flat[b]), 1e-12));
-          }
+        const std::uint32_t cmax = tail_cmax(tail_n, remaining);
+        for (std::uint32_t b = next_app; b < apps_n; ++b) {
+          out += std::log(std::max(app_ub(b, cmax), 1e-12));
         }
         return out;
       }
@@ -332,7 +402,10 @@ struct StreamSearch {
         const double ub = app_ub(a, c);
         double bound = 0.0;
         switch (objective) {
-          case Objective::kTotalGflops: bound = pt + ub; break;
+          case Objective::kTotalGflops:
+            open_cap_row(a, ub);
+            bound = std::min(pt + ub, joint_bound(apps_n, 0));
+            break;
           case Objective::kMinAppGflops: bound = std::min(pm, ub); break;
           case Objective::kProportionalFairness:
             bound = pl + std::log(std::max(ub, 1e-12));
@@ -368,6 +441,7 @@ struct StreamSearch {
         cpt = pt + ub;
         cpm = std::min(pm, ub);
         cpl = pl + std::log(std::max(ub, 1e-12));
+        if (joint_enabled) open_cap_row(a, ub);
         if (cuttable(combine_bound(cpt, cpm, cpl, a + 1, rem_after))) {
           ++best.pruned;
           continue;
@@ -391,6 +465,10 @@ struct StreamSearch {
         cpt = std::min(cpt, p_total);
         cpm = std::min(cpm, p_min);
         cpl = std::min(cpl, p_log);
+        if (joint_enabled) {
+          double* row = cap_row(a);
+          for (std::uint32_t p = 0; p <= a; ++p) row[p] = std::min(row[p], partial.app_gflops[p]);
+        }
         if (cuttable(combine_bound(cpt, cpm, cpl, a + 1, rem_after))) {
           ++best.pruned;
           set_row(a, 0);

@@ -174,6 +174,24 @@ TEST(ModelGuidedPolicy, StableUntilAiDrifts) {
   EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);
 }
 
+TEST(ModelGuidedPolicy, RedecidesWhenOnlyADataHomeMoves) {
+  ModelGuidedPolicy policy({.ai_drift_threshold = 0.10});
+  const auto machine = topo::paper_numabad_machine();
+  std::vector<AppView> views{view("p1", 0, 0.5), view("p2", 0, 0.5), view("p3", 0, 0.5),
+                             view("bad", 0, 1.0, /*home=*/0)};
+  auto directives = policy.decide(machine, views);
+  ASSERT_EQ(directives[3].kind, Directive::Kind::kNodeThreads);
+  EXPECT_EQ(directives[3].node_threads[0], 8u);
+  // Same AIs, same homes: nothing to re-decide.
+  EXPECT_EQ(policy.decide(machine, views)[3].kind, Directive::Kind::kNone);
+  // Same AIs, the data moved to node 1: the app's cores must follow it.
+  views[3].latest.data_home_node = 1;
+  directives = policy.decide(machine, views);
+  ASSERT_EQ(directives[3].kind, Directive::Kind::kNodeThreads);
+  EXPECT_EQ(directives[3].node_threads[0], 0u);
+  EXPECT_EQ(directives[3].node_threads[1], 8u);
+}
+
 TEST(ModelGuidedPolicy, IncrementalRefineOnNonStructuralDrift) {
   // With incremental_refine on, an AI drift past the recompute threshold but
   // inside the structural band re-optimizes by seeding a hill-climb from the

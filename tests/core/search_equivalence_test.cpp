@@ -14,6 +14,7 @@
 
 #include "common/rng.hpp"
 #include "core/optimizer.hpp"
+#include "solver_golden.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::model {
@@ -195,26 +196,71 @@ TEST(SearchEquivalenceProduction, PrunedMatchesBruteForceAtArbiterShape) {
   }
 }
 
+TEST(SearchEquivalenceProduction, PrunedMatchesBruteForceAcrossArbiterLevels) {
+  // The states arbiter_scale walks: one app at a time moved to each AI level
+  // its stubs advertise, with and without foreign load.
+  const auto machine = topo::Machine::symmetric(4, 16, 10.0, 20.0, 5.0);
+  const auto cases = production_cases();
+  for (const ForeignLoad* foreign : {&cases[0].foreign, &cases[2].foreign}) {
+    for (std::size_t a = 0; a < production_apps().size(); ++a) {
+      for (const double level : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0}) {
+        auto apps = production_apps();
+        apps[a].ai = level;
+        const auto reference = exhaustive_search_reference(
+            machine, apps, Objective::kTotalGflops, true, 1, {}, *foreign);
+        const auto pruned =
+            exhaustive_search(machine, apps, Objective::kTotalGflops, true, 1, {}, *foreign);
+        EXPECT_EQ(pruned.objective_value, reference.objective_value)
+            << "app " << a << " ai " << level << " foreign " << foreign->any();
+        EXPECT_TRUE(pruned.allocation == reference.allocation)
+            << "app " << a << " ai " << level << " foreign " << foreign->any();
+      }
+    }
+  }
+}
+
 TEST(SearchEquivalenceProduction, SearchOrderIsPinned) {
-  // Recorded before the solver moved onto a per-search plan: the same
-  // candidates in the same order, cut by the same bounds (the foreign case
-  // also pins the post-foreign tightening of those bounds).
+  // The same candidates in the same order, cut by the per-app and the joint
+  // bandwidth bounds (the foreign case also pins the post-foreign
+  // tightening of both). The counts move whenever a bound tightens; the
+  // objectives never may.
   const auto machine = topo::Machine::symmetric(4, 16, 10.0, 20.0, 5.0);
   const auto cases = production_cases();
   const auto uncapped = exhaustive_search(machine, production_apps(), Objective::kTotalGflops,
                                           /*require_full=*/true, /*min_threads_per_app=*/1);
-  EXPECT_EQ(uncapped.evaluated, 597u);
-  EXPECT_EQ(uncapped.visited, 597u);
-  EXPECT_EQ(uncapped.pruned, 149u);
-  EXPECT_EQ(uncapped.bound_solves, 147u);
+  EXPECT_EQ(uncapped.evaluated, 365u);
+  EXPECT_EQ(uncapped.visited, 365u);
+  EXPECT_EQ(uncapped.pruned, 320u);
+  EXPECT_EQ(uncapped.bound_solves, 105u);
   EXPECT_EQ(uncapped.objective_value, 0x1.648476930d9f1p+8);
   const auto foreign = exhaustive_search(machine, production_apps(), Objective::kTotalGflops,
                                          true, 1, {}, cases[2].foreign);
-  EXPECT_EQ(foreign.evaluated, 854u);
-  EXPECT_EQ(foreign.visited, 854u);
-  EXPECT_EQ(foreign.pruned, 167u);
-  EXPECT_EQ(foreign.bound_solves, 236u);
+  EXPECT_EQ(foreign.evaluated, 539u);
+  EXPECT_EQ(foreign.visited, 539u);
+  EXPECT_EQ(foreign.pruned, 391u);
+  EXPECT_EQ(foreign.bound_solves, 156u);
   EXPECT_EQ(foreign.objective_value, 0x1.211f4737d1cdfp+8);
+}
+
+// The lemma behind the search's joint-bandwidth bound: the kernel never
+// gives an app more than ai x its granted bandwidth, and the grants across
+// all controllers add up to at most their cooperative bandwidth (what
+// foreign load leaves), so sum_a app_gflops[a] / ai_a is at most that sum.
+// The 1e-12 per controller is the kernel's remote-overshoot tolerance, which
+// the search counts in too. Random machines, mixes, allocations, foreign
+// loads and water-fill options, including the arbiter_scale shape.
+TEST(SearchBoundLemma, GflopsOverAiFitsCooperativeBandwidth) {
+  for (std::uint64_t seed = 1; seed <= 4000; ++seed) {
+    const auto p = golden::make_problem(seed);
+    const Solution s = solve(p.machine, p.apps, p.allocation, p.options);
+    double drawn = 0.0;
+    for (AppId a = 0; a < p.apps.size(); ++a) drawn += s.app_gflops[a] / p.apps[a].ai;
+    double coop = 0.0;
+    for (const NodeBreakdown& node : s.nodes) {
+      coop += node.bandwidth - node.foreign_granted + 1e-12;
+    }
+    ASSERT_LE(drawn, coop * (1.0 + 1e-9)) << "seed " << seed;
+  }
 }
 
 }  // namespace
